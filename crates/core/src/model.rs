@@ -268,58 +268,6 @@ impl TrainedModel {
             .collect()
     }
 
-    /// Ranks candidate locations for a (time, text) query, best first,
-    /// returning `(candidate index, score)` pairs — the §3 "location
-    /// prediction" problem as a one-call API.
-    pub fn rank_locations(
-        &self,
-        t: Timestamp,
-        words: &[KeywordId],
-        candidates: &[GeoPoint],
-    ) -> Vec<(usize, f64)> {
-        let tv = self.vector(self.time_node(t)).to_vec();
-        let wv = self.text_vector(words);
-        let query = self.query_vector(&[&tv, &wv]);
-        let scores = candidates
-            .iter()
-            .map(|&p| self.score(&query, self.location_node(p)));
-        rank_desc(scores)
-    }
-
-    /// Ranks candidate timestamps for a (location, text) query, best
-    /// first — the §3 "time prediction" problem.
-    pub fn rank_times(
-        &self,
-        location: GeoPoint,
-        words: &[KeywordId],
-        candidates: &[Timestamp],
-    ) -> Vec<(usize, f64)> {
-        let lv = self.vector(self.location_node(location)).to_vec();
-        let wv = self.text_vector(words);
-        let query = self.query_vector(&[&lv, &wv]);
-        let scores = candidates
-            .iter()
-            .map(|&t| self.score(&query, self.time_node(t)));
-        rank_desc(scores)
-    }
-
-    /// Ranks candidate texts for a (time, location) query, best first —
-    /// the §3 "activity prediction" problem.
-    pub fn rank_texts(
-        &self,
-        t: Timestamp,
-        location: GeoPoint,
-        candidates: &[Vec<KeywordId>],
-    ) -> Vec<(usize, f64)> {
-        let tv = self.vector(self.time_node(t)).to_vec();
-        let lv = self.vector(self.location_node(location)).to_vec();
-        let query = self.query_vector(&[&tv, &lv]);
-        let scores = candidates
-            .iter()
-            .map(|words| cosine(&query, &self.text_vector(words)));
-        rank_desc(scores)
-    }
-
     /// A user's activity profile: the keywords most aligned with the
     /// user's embedding (empty if the user was not embedded or never
     /// interacted). Powers "who is this user" style queries.
@@ -330,49 +278,6 @@ impl TrainedModel {
                 self.nearest_words(&uv, k)
             }
             None => Vec::new(),
-        }
-    }
-}
-
-/// Sorts scored candidates descending, keeping original indices.
-fn rank_desc(scores: impl Iterator<Item = f64>) -> Vec<(usize, f64)> {
-    let mut out: Vec<(usize, f64)> = scores.enumerate().collect();
-    out.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores"));
-    out
-}
-
-/// Per-modality decomposition of a cross-modal score (see
-/// [`TrainedModel::explain_location`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScoreExplanation {
-    /// Cosine of the candidate against the observed *time* unit alone.
-    pub time_alignment: f64,
-    /// Cosine of the candidate against the observed *text* alone.
-    pub text_alignment: f64,
-    /// Cosine against the combined (mean) query — the score used for
-    /// ranking.
-    pub combined: f64,
-}
-
-impl TrainedModel {
-    /// Decomposes a location score into its per-modality parts: how much
-    /// the candidate agrees with the query's time unit versus its text.
-    /// Useful when debugging a surprising ranking ("the place matched the
-    /// hour but not the words").
-    pub fn explain_location(
-        &self,
-        t: Timestamp,
-        words: &[KeywordId],
-        candidate: GeoPoint,
-    ) -> ScoreExplanation {
-        let tv = self.vector(self.time_node(t)).to_vec();
-        let wv = self.text_vector(words);
-        let cand = self.vector(self.location_node(candidate));
-        let query = self.query_vector(&[&tv, &wv]);
-        ScoreExplanation {
-            time_alignment: cosine(&tv, cand),
-            text_alignment: cosine(&wv, cand),
-            combined: cosine(&query, cand),
         }
     }
 }
@@ -481,50 +386,6 @@ mod tests {
         let m = tiny_model();
         assert!(m.user_node(UserId(0)).is_some());
         assert!(m.user_node(UserId(1)).is_none());
-    }
-
-    #[test]
-    fn rank_apis_return_permutations_sorted_by_score() {
-        let m = tiny_model();
-        let candidates = [
-            GeoPoint::new(0.0, 0.0),
-            GeoPoint::new(1.0, 1.0),
-            GeoPoint::new(0.01, 0.0),
-        ];
-        let ranked = m.rank_locations(3600, &[KeywordId(0)], &candidates);
-        assert_eq!(ranked.len(), 3);
-        let mut idx: Vec<usize> = ranked.iter().map(|&(i, _)| i).collect();
-        idx.sort_unstable();
-        assert_eq!(idx, vec![0, 1, 2]);
-        for pair in ranked.windows(2) {
-            assert!(pair[0].1 >= pair[1].1);
-        }
-
-        let times = [3600i64, 72_000];
-        let ranked = m.rank_times(GeoPoint::new(0.0, 0.0), &[KeywordId(1)], &times);
-        assert_eq!(ranked.len(), 2);
-
-        let texts = vec![vec![KeywordId(0)], vec![KeywordId(1)], vec![]];
-        let ranked = m.rank_texts(3600, GeoPoint::new(0.0, 0.0), &texts);
-        assert_eq!(ranked.len(), 3);
-    }
-
-    #[test]
-    fn explain_location_decomposes_the_score() {
-        let m = tiny_model();
-        let e = m.explain_location(3600, &[KeywordId(0)], GeoPoint::new(0.0, 0.0));
-        for v in [e.time_alignment, e.text_alignment, e.combined] {
-            assert!(v.is_finite());
-            assert!((-1.0..=1.0).contains(&v));
-        }
-        // The combined score matches score_location's public value.
-        // (score_location lives in the eval crate's trait impl; here we
-        // recompute it through the same primitives.)
-        let tv = m.vector(m.time_node(3600)).to_vec();
-        let wv = m.text_vector(&[KeywordId(0)]);
-        let q = m.query_vector(&[&tv, &wv]);
-        let direct = m.score(&q, m.location_node(GeoPoint::new(0.0, 0.0)));
-        assert!((e.combined - direct).abs() < 1e-12);
     }
 
     #[test]

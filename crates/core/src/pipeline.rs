@@ -320,13 +320,6 @@ pub(crate) struct SegmentStats {
     pub updates: u64,
 }
 
-/// Per-thread bucket merge target plus segment loss totals.
-struct TraceMerge {
-    buckets: Vec<(f64, u64)>,
-    loss: f64,
-    updates: u64,
-}
-
 /// Lines 5–11: alternate inter-record and intra-record mini-batches over
 /// epochs `[epoch_start, epoch_end)` of a `config.max_epochs` schedule.
 ///
@@ -361,11 +354,6 @@ pub(crate) fn train_epoch_range(
     let edge_samplers = &prep.edge_samplers;
     let neg_tables = &prep.neg_tables;
 
-    let merged = parking_lot::Mutex::new(TraceMerge {
-        buckets: new_trace(),
-        loss: 0.0,
-        updates: 0,
-    });
     // Live-throughput counter, flushed once per round (~7m updates) so the
     // SGD hot path never touches shared state.
     let updates_done = obs::counter("core.train.updates");
@@ -410,7 +398,7 @@ pub(crate) fn train_epoch_range(
         (config.seed ^ 0xAC7) ^ (epoch_start as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let whole_run = epoch_start == 0 && epoch_end == total_epochs;
 
-    hogwild::run(config.threads, rounds, seed, |_, rng, n| {
+    let per_worker = hogwild::run(config.threads, rounds, seed, |_, rng, n| {
         let mut upd = NegativeSamplingUpdate::new(config.dim, config.sgd());
         let lr0 = config.learning_rate;
         if lr_scale != 1.0 {
@@ -478,26 +466,32 @@ pub(crate) fn train_epoch_range(
             local[bucket].1 += round_updates;
             updates_done.add(round_updates);
         }
-        let mut merge = merged.lock();
-        for (m, &(sum, count)) in merge.buckets.iter_mut().zip(&local) {
+        local
+    });
+    // Merge the workers' buckets in worker order, so the segment totals
+    // do not depend on which worker finished first.
+    let mut buckets = new_trace();
+    let mut loss = 0.0f64;
+    let mut updates = 0u64;
+    for local in &per_worker {
+        for (m, &(sum, count)) in buckets.iter_mut().zip(local) {
             m.0 += sum;
             m.1 += count;
         }
-        merge.loss += local.iter().map(|&(sum, _)| sum).sum::<f64>();
-        merge.updates += local.iter().map(|&(_, count)| count).sum::<u64>();
-    });
-    let merge = merged.into_inner();
-    for (t, &(sum, count)) in trace.iter_mut().zip(&merge.buckets) {
+        loss += local.iter().map(|&(sum, _)| sum).sum::<f64>();
+        updates += local.iter().map(|&(_, count)| count).sum::<u64>();
+    }
+    for (t, &(sum, count)) in trace.iter_mut().zip(&buckets) {
         t.0 += sum;
         t.1 += count;
     }
     SegmentStats {
-        mean_loss: if merge.updates == 0 {
+        mean_loss: if updates == 0 {
             0.0
         } else {
-            merge.loss / merge.updates as f64
+            loss / updates as f64
         },
-        updates: merge.updates,
+        updates,
     }
 }
 

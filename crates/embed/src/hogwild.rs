@@ -1,212 +1,69 @@
-//! Scoped-thread Hogwild driver.
+//! Hogwild training streams over the `actor-par` runtime.
 //!
 //! Splits a sample budget across worker threads, each running the caller's
 //! closure with its own deterministic RNG stream. Used by LINE
-//! pre-training, the ACTOR trainer, and the scalability experiments of
-//! Fig. 12.
+//! pre-training, the ACTOR trainer, the walk-based baselines and the
+//! scalability experiments of Fig. 12. Sharding, spawning and panic
+//! reporting are [`par::par_budget`]'s; this module owns only the seeding
+//! rule.
 
 use rand::{rngs::StdRng, SeedableRng};
 
-/// Runs `total_samples` of work across `n_threads` workers.
+/// Runs `total_samples` of work across `n_threads` workers and returns
+/// each worker's result in worker order.
 ///
-/// `work(thread_id, rng, n_samples)` processes its shard with a per-thread
-/// RNG seeded from `seed` and the thread id; shards differ by at most one
-/// sample. Single-threaded runs are exactly reproducible per seed;
-/// multi-threaded runs race benignly on the embedding matrices (by
-/// design — see the Hogwild contract in [`crate::store::Matrix`]).
+/// `work(worker, rng, n_samples)` processes its shard; shards are those of
+/// [`par::shards`] and differ by at most one sample. A one-worker run
+/// seeds its RNG with `seed` itself and is exactly reproducible per seed;
+/// worker `t` of a multi-worker run seeds with [`par::shard_seed`]`(seed,
+/// t)`, and the workers race benignly on the embedding matrices (by design
+/// — see the Hogwild contract in [`crate::store::Matrix`]).
 ///
-/// # Contract: fewer samples than threads
-///
-/// When `total_samples < n_threads`, every thread is still spawned and
-/// `work` is still invoked once per thread: the first `total_samples`
-/// threads receive a shard of 1 and the rest receive a shard of **0**.
-/// Closures must therefore tolerate `n_samples == 0` (an empty loop is the
-/// expected handling). This keeps thread-id–derived RNG streams stable
-/// across sample budgets, which the reproducibility tests rely on.
+/// With fewer samples than workers only the first `total_samples` workers
+/// run, one sample each; worker ids are positional, so no worker's stream
+/// depends on the budget. An empty budget runs nothing.
 ///
 /// # Panics
 ///
-/// Panics if `n_threads == 0`, or if any worker closure panics — the panic
-/// is re-raised on the calling thread with a message naming the worker
-/// (e.g. ``hogwild worker thread 3 of 8 panicked``) so a poisoned training
-/// run is attributable to its shard.
-pub fn run<W>(n_threads: usize, total_samples: u64, seed: u64, work: W)
+/// Panics if `n_threads == 0`, or if a worker closure panics: the lowest
+/// failing worker is re-raised on the caller, named (e.g. ``par shard 3 of
+/// 8 panicked: …``), after every other worker has finished.
+pub fn run<R, W>(n_threads: usize, total_samples: u64, seed: u64, work: W) -> Vec<R>
 where
-    W: Fn(usize, &mut StdRng, u64) + Sync,
+    R: Send,
+    W: Fn(usize, &mut StdRng, u64) -> R + Sync,
 {
-    assert!(n_threads > 0, "need at least one thread");
-    let base = total_samples / n_threads as u64;
-    let extra = (total_samples % n_threads as u64) as usize;
-    debug_assert!(
-        total_samples >= n_threads as u64 || base == 0,
-        "shard math: with {total_samples} samples over {n_threads} threads \
-         every shard is {base} or {}",
-        base + 1
-    );
-    if n_threads == 1 {
-        let mut rng = StdRng::seed_from_u64(seed);
-        work(0, &mut rng, total_samples);
-        return;
-    }
-    let threads = obs::counter("embed.hogwild.threads");
-    // Worker panics are caught per thread and re-raised here with the
-    // worker's id, so a poisoned training run names its shard instead of
-    // dying with crossbeam's anonymous payload.
-    let failures: std::sync::Mutex<Vec<(usize, String)>> = std::sync::Mutex::new(Vec::new());
-    let result = crossbeam::thread::scope(|s| {
-        for t in 0..n_threads {
-            let work = &work;
-            let threads = threads.clone();
-            let failures = &failures;
-            let shard = base + u64::from(t < extra);
-            s.spawn(move |_| {
-                threads.incr();
-                let run_shard = std::panic::AssertUnwindSafe(|| {
-                    let mut rng = StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64
-                        .wrapping_mul(t as u64 + 1)));
-                    work(t, &mut rng, shard);
-                });
-                if let Err(payload) = std::panic::catch_unwind(run_shard) {
-                    let detail = payload
-                        .downcast_ref::<String>()
-                        .map(String::as_str)
-                        .or_else(|| payload.downcast_ref::<&'static str>().copied())
-                        .unwrap_or("<non-string panic payload>")
-                        .to_string();
-                    // A sibling worker panicking while holding this lock
-                    // poisons it; the guard's data is still coherent
-                    // (Vec::push never unwinds mid-write here), so recover
-                    // the inner value instead of double-panicking.
-                    failures
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .push((t, detail));
-                }
-            });
-        }
-    });
-    // Scope-level failure without a recorded worker panic would mean the
-    // spawn machinery itself failed; surface it rather than swallowing.
-    result.expect("hogwild scope failed outside worker closures");
-    let mut failures = failures.into_inner().unwrap_or_else(|e| e.into_inner());
-    if !failures.is_empty() {
-        failures.sort_unstable_by_key(|(t, _)| *t);
-        let (t, detail) = &failures[0];
-        panic!("hogwild worker thread {t} of {n_threads} panicked: {detail}");
-    }
+    par::par_budget(n_threads, total_samples, |t, n| {
+        let stream = if n_threads == 1 {
+            seed
+        } else {
+            par::shard_seed(seed, t)
+        };
+        work(t, &mut StdRng::seed_from_u64(stream), n)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+    use rand::Rng;
 
     #[test]
-    fn shards_cover_total() {
-        let counter = AtomicU64::new(0);
-        run(4, 1003, 1, |_, _, n| {
-            counter.fetch_add(n, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 1003);
+    fn single_worker_gets_everything_from_the_base_seed() {
+        let draws = run(1, 17, 2, |t, rng, n| (t, n, rng.random::<u64>()));
+        let expect = StdRng::seed_from_u64(2).random::<u64>();
+        assert_eq!(draws, vec![(0, 17, expect)]);
     }
 
     #[test]
-    fn single_thread_gets_everything() {
-        let counter = AtomicU64::new(0);
-        run(1, 17, 2, |t, _, n| {
-            assert_eq!(t, 0);
-            counter.fetch_add(n, Ordering::Relaxed);
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 17);
-    }
-
-    #[test]
-    fn fewer_samples_than_threads_gives_empty_shards() {
-        // 3 samples over 8 threads: every thread still runs, shards are
-        // 1,1,1,0,0,0,0,0 (see the contract in the `run` docs).
-        let calls = AtomicUsize::new(0);
-        let total = AtomicU64::new(0);
-        let zero_shards = AtomicUsize::new(0);
-        run(8, 3, 5, |_, _, n| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            total.fetch_add(n, Ordering::Relaxed);
-            if n == 0 {
-                zero_shards.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert_eq!(calls.load(Ordering::Relaxed), 8);
-        assert_eq!(total.load(Ordering::Relaxed), 3);
-        assert_eq!(zero_shards.load(Ordering::Relaxed), 5);
-    }
-
-    #[test]
-    fn zero_samples_is_a_no_op_per_thread() {
-        let total = AtomicU64::new(0);
-        run(4, 0, 9, |_, _, n| {
-            total.fetch_add(n, Ordering::Relaxed);
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn thread_rngs_differ() {
-        use rand::Rng;
-        let draws = std::sync::Mutex::new(Vec::new());
-        run(3, 3, 7, |_, rng, _| {
-            draws.lock().unwrap().push(rng.random::<u64>());
-        });
-        let d = draws.into_inner().unwrap();
-        assert_eq!(d.len(), 3);
-        assert_ne!(d[0], d[1]);
-        assert_ne!(d[1], d[2]);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_threads_rejected() {
-        run(0, 10, 0, |_, _, _| {});
-    }
-
-    #[test]
-    fn worker_panic_is_reraised_with_context() {
-        let result = std::panic::catch_unwind(|| {
-            run(4, 100, 1, |t, _, _| {
-                if t == 2 {
-                    panic!("shard 2 corrupt");
-                }
-            });
-        });
-        let payload = result.unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("hogwild worker thread 2 of 4 panicked"), "{msg}");
-        assert!(msg.contains("shard 2 corrupt"), "{msg}");
-    }
-
-    #[test]
-    fn two_concurrent_worker_panics_report_the_lowest_shard() {
-        use std::sync::Barrier;
-        // Both workers reach the barrier, then panic together — one of
-        // them will find the failure mutex poisoned by the other. The
-        // driver must still collect both reports and re-raise the
-        // lowest-numbered shard deterministically.
-        let barrier = Barrier::new(2);
-        let result = std::panic::catch_unwind(|| {
-            run(4, 100, 3, |t, _, _| {
-                if t == 1 || t == 3 {
-                    barrier.wait();
-                    panic!("shard {t} corrupt");
-                }
-            });
-        });
-        let payload = result.unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("hogwild worker thread 1 of 4 panicked"), "{msg}");
-        assert!(msg.contains("shard 1 corrupt"), "{msg}");
+    fn workers_draw_from_their_shard_seed_streams() {
+        let seed = 7;
+        let draws = run(3, 1003, seed, |_, rng, _| rng.random::<u64>());
+        let expect: Vec<u64> = (0..3)
+            .map(|t| StdRng::seed_from_u64(par::shard_seed(seed, t)).random::<u64>())
+            .collect();
+        assert_eq!(draws, expect);
+        assert_ne!(draws[0], draws[1]);
+        assert_ne!(draws[1], draws[2]);
     }
 }

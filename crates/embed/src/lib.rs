@@ -14,7 +14,8 @@
 //! * [`store`] — center/context matrices with lock-free shared mutation
 //!   behind an explicit Hogwild contract,
 //! * [`sgd`] — the per-edge negative-sampling update,
-//! * [`hogwild`] — scoped-thread parallel driver,
+//! * [`hogwild`] — per-worker seed streams for Hogwild SGD over the
+//!   `actor-par` runtime,
 //! * [`mod@line`] — LINE (first/second order) for arbitrary weighted graphs:
 //!   the user-layer pre-trainer of Algorithm 1 line 3 and the LINE
 //!   baseline of Table 2.

@@ -1,18 +1,18 @@
-//! `actor-par` — deterministic scoped-thread data parallelism for the
-//! preprocessing pipeline.
+//! `actor-par` — deterministic scoped-thread data parallelism: the one
+//! runtime that spawns sharded work in this workspace.
 //!
-//! Training already scales across cores through the Hogwild driver
-//! (`embed::hogwild`); this crate gives the stages *in front* of it —
-//! hotspot detection, co-occurrence counting, alias/negative-table
-//! construction, meta-graph instance counting — the same treatment,
-//! generalizing the Hogwild shard-splitting contract:
+//! Two kinds of caller share it. The preprocessing stages — hotspot
+//! detection, co-occurrence counting, alias/negative-table construction,
+//! meta-graph instance counting — shard their *items* across [`threads`]
+//! workers. Hogwild training (`embed::hogwild`) splits a *sample budget*
+//! over an explicit worker count through [`par_budget`]. Both get:
 //!
 //! * **Deterministic shard boundaries** — [`shards`] cuts `len` items into
-//!   contiguous ranges whose sizes differ by at most one, exactly like the
-//!   Hogwild sample split (`base + u64::from(t < extra)`).
-//! * **Per-shard seeds** — [`shard_seed`] reproduces the Hogwild
-//!   golden-ratio stream derivation, so sharded randomized stages can keep
-//!   seed-stable streams per shard.
+//!   contiguous ranges whose sizes differ by at most one
+//!   (`base + (s < extra)`).
+//! * **Per-shard seeds** — [`shard_seed`] is the golden-ratio stream
+//!   derivation, so sharded randomized work keeps seed-stable streams per
+//!   shard.
 //! * **`ACTOR_THREADS` override** — [`threads`] resolves the worker count
 //!   from the programmatic override, then the `ACTOR_THREADS` environment
 //!   variable, then the machine's available parallelism.
@@ -26,8 +26,9 @@
 //! workspace root holds the pipeline to it.
 //!
 //! All spawning uses `std::thread::scope`, so borrowed inputs need no
-//! `'static` bounds and a panicking shard is re-raised on the caller with
-//! the shard named (mirroring the Hogwild driver's diagnostics).
+//! `'static` bounds. Shard 0 runs on the calling thread; when any shard of
+//! a multi-shard region panics, the others are still joined and the lowest
+//! failing shard is re-raised on the caller with the shard named.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -36,7 +37,7 @@ use std::sync::{Mutex, MutexGuard};
 /// Environment variable overriding the preprocessing thread count.
 pub const ENV_THREADS: &str = "ACTOR_THREADS";
 
-/// Golden-ratio multiplier of the Hogwild per-thread seed derivation.
+/// Golden-ratio multiplier of the per-shard seed derivation.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Programmatic thread-count override (0 = unset). Takes precedence over
@@ -92,7 +93,7 @@ pub fn override_threads(n: usize) -> ThreadsOverride {
 }
 
 /// Cuts `0..len` into at most `n_shards` contiguous ranges whose sizes
-/// differ by at most one — the Hogwild split applied to item index space.
+/// differ by at most one.
 /// Empty trailing shards are not emitted: `shards(3, 8)` is three ranges
 /// of one item each. `shards(0, n)` is empty. Panics if `n_shards == 0`.
 pub fn shards(len: usize, n_shards: usize) -> Vec<Range<usize>> {
@@ -114,10 +115,9 @@ pub fn shards(len: usize, n_shards: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// The deterministic RNG seed of `shard` under base `seed` — the same
-/// golden-ratio derivation the Hogwild driver gives worker `shard`, so a
-/// sharded stage and a training run derived from one seed stay
-/// decorrelated per shard yet exactly reproducible.
+/// The deterministic RNG seed of `shard` under base `seed`: shards derived
+/// from one seed stay decorrelated yet exactly reproducible. Hogwild
+/// worker `t` of a multi-worker run draws from `shard_seed(seed, t)`.
 #[inline]
 pub fn shard_seed(seed: u64, shard: usize) -> u64 {
     seed ^ GOLDEN.wrapping_mul(shard as u64 + 1)
@@ -125,49 +125,82 @@ pub fn shard_seed(seed: u64, shard: usize) -> u64 {
 
 /// Runs `f(shard_index, range)` once per shard of `0..len` across
 /// [`threads`] workers and returns the results in shard order.
-///
-/// Shard 0 runs on the calling thread (a one-shard region spawns
-/// nothing); a panicking shard is re-raised here naming the shard.
 fn run_sharded<R, F>(len: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize, Range<usize>) -> R + Sync,
 {
-    let ranges = shards(len, threads());
+    run_ranges(shards(len, threads()), f)
+}
+
+/// Runs `f(shard_index, range)` once per range and returns the results in
+/// shard order.
+///
+/// Shard 0 runs on the calling thread (a one-shard region spawns nothing
+/// and lets a panic through untouched). In a multi-shard region every
+/// shard is joined even when one panics; the lowest failing shard is then
+/// re-raised here, named.
+fn run_ranges<R, F>(ranges: Vec<Range<usize>>, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, Range<usize>) -> R + Sync,
+{
     let n = ranges.len();
     obs::counter("par.regions").incr();
     obs::histogram("par.shards").record(n as u64);
-    match n {
-        0 => Vec::new(),
-        1 => vec![f(0, ranges.into_iter().next().expect("one shard"))],
-        _ => std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = ranges[1..]
-                .iter()
-                .enumerate()
-                .map(|(i, r)| {
-                    let r = r.clone();
-                    scope.spawn(move || f(i + 1, r))
-                })
-                .collect();
-            let mut out = Vec::with_capacity(n);
-            out.push(f(0, ranges[0].clone()));
-            for (i, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(v) => out.push(v),
-                    Err(payload) => {
-                        let detail = payload
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| payload.downcast_ref::<&'static str>().copied())
-                            .unwrap_or("<non-string panic payload>");
-                        panic!("par shard {} of {n} panicked: {detail}", i + 1);
-                    }
+    let mut ranges = ranges.into_iter();
+    let Some(first) = ranges.next() else {
+        return Vec::new();
+    };
+    if n == 1 {
+        return vec![f(0, first)];
+    }
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = ranges
+            .enumerate()
+            .map(|(i, r)| scope.spawn(move || f(i + 1, r)))
+            .collect();
+        let inline = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(0, first)));
+        let joined = std::iter::once(inline).chain(handles.into_iter().map(|h| h.join()));
+        let mut out = Vec::with_capacity(n);
+        let mut failed = None;
+        for (s, result) in joined.enumerate() {
+            match result {
+                Ok(v) => out.push(v),
+                Err(payload) => {
+                    failed.get_or_insert((s, payload));
                 }
             }
-            out
-        }),
-    }
+        }
+        if let Some((s, payload)) = failed {
+            let detail = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&'static str>().copied())
+                .unwrap_or("<non-string panic payload>");
+            panic!("par shard {s} of {n} panicked: {detail}");
+        }
+        out
+    })
+}
+
+/// Splits a budget of `budget` units (samples, rounds, walks) over
+/// `workers` workers and runs `f(shard, units)` once per non-empty shard,
+/// returning the results in shard order. Shard sizes are those of
+/// [`shards`]`(budget, workers)`: they differ by at most one and a budget
+/// smaller than `workers` invokes only `budget` shards of one unit.
+///
+/// The worker count is the caller's (a training run's configured threads),
+/// not [`threads`]. Panics if `workers == 0`, and re-raises a shard's
+/// panic like the other combinators.
+pub fn par_budget<R, F>(workers: usize, budget: u64, f: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize, u64) -> R + Sync,
+{
+    let len = usize::try_from(budget).expect("budget exceeds the address space");
+    run_ranges(shards(len, workers), |s, range| f(s, range.len() as u64))
 }
 
 /// Maps contiguous chunks of `items` in parallel: `f(shard_index, chunk)`
@@ -249,7 +282,7 @@ where
 mod tests {
     use super::*;
     use std::collections::HashMap;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     #[test]
     fn shards_cover_and_balance() {
@@ -277,13 +310,32 @@ mod tests {
     }
 
     #[test]
-    fn shards_match_hogwild_split() {
-        // 1003 samples over 4 threads: hogwild gives base=250, extra=3.
-        let s = shards(1003, 4);
-        assert_eq!(
-            s.iter().map(|r| r.len()).collect::<Vec<_>>(),
-            vec![251, 251, 251, 250]
-        );
+    fn par_budget_covers_the_budget_in_shard_order() {
+        // 1003 samples over 4 workers: base=250, extra=3.
+        let sizes = par_budget(4, 1003, |s, n| (s, n));
+        assert_eq!(sizes, vec![(0, 251), (1, 251), (2, 251), (3, 250)]);
+        assert_eq!(par_budget(1, 17, |s, n| (s, n)), vec![(0, 17)]);
+        // No shard is invoked for an empty budget.
+        assert!(par_budget(4, 0, |_, _| panic!("must not run")).is_empty());
+    }
+
+    #[test]
+    fn par_budget_below_the_worker_count_runs_only_full_shards() {
+        // 3 samples over 8 workers: shards 0..3 of one sample each; shard
+        // ids stay positional, so no stream moves with the budget.
+        let calls = AtomicUsize::new(0);
+        let sizes = par_budget(8, 3, |s, n| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            (s, n)
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 3);
+        assert_eq!(sizes, vec![(0, 1), (1, 1), (2, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one shard")]
+    fn par_budget_rejects_zero_workers() {
+        par_budget(0, 10, |_, _| ());
     }
 
     #[test]
@@ -389,12 +441,47 @@ mod tests {
                 }
             });
         });
-        let payload = result.unwrap_err();
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
+        let msg = panic_message(result.unwrap_err());
         assert!(msg.contains("par shard 2 of 4 panicked"), "{msg}");
         assert!(msg.contains("shard data corrupt"), "{msg}");
+    }
+
+    #[test]
+    fn inline_shard_zero_panic_is_named_too() {
+        let result = std::panic::catch_unwind(|| {
+            let _guard = override_threads(4);
+            par_for_shards(100, |s, _| {
+                if s == 0 {
+                    panic!("shard zero corrupt");
+                }
+            });
+        });
+        let msg = panic_message(result.unwrap_err());
+        assert!(msg.contains("par shard 0 of 4 panicked"), "{msg}");
+        assert!(msg.contains("shard zero corrupt"), "{msg}");
+    }
+
+    #[test]
+    fn concurrent_shard_panics_report_the_lowest_shard() {
+        use std::sync::Barrier;
+        // Shards 1 and 3 panic together; the re-raise must name shard 1
+        // whichever of them finishes unwinding first.
+        let barrier = Barrier::new(2);
+        let result = std::panic::catch_unwind(|| {
+            let _guard = override_threads(4);
+            par_for_shards(100, |s, _| {
+                if s == 1 || s == 3 {
+                    barrier.wait();
+                    panic!("shard {s} corrupt");
+                }
+            });
+        });
+        let msg = panic_message(result.unwrap_err());
+        assert!(msg.contains("par shard 1 of 4 panicked"), "{msg}");
+        assert!(msg.contains("shard 1 corrupt"), "{msg}");
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        payload.downcast_ref::<String>().cloned().unwrap_or_default()
     }
 }

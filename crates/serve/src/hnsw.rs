@@ -253,7 +253,13 @@ impl HnswIndex {
         }
         // Beam search and bidirectional linking on the element's layers.
         for l in (0..=level.min(self.max_level)).rev() {
-            let beam = self.search_layer(vecs, q, ep, self.params.ef_construction, l, scratch);
+            let mut beam = self.search_layer(vecs, q, ep, self.params.ef_construction, l, scratch);
+            // Re-inserting after `update_row`'s unlink, stale in-links
+            // `u → id` (whose `id → u` was pruned) survive and let the
+            // search reach `id` itself; it must become neither its own
+            // neighbor nor the next layer's entry point. `build` never
+            // reaches the element it inserts, so this drops nothing there.
+            beam.retain(|s| s.id != id);
             ep = beam.first().map_or(ep, |s| s.id);
             let chosen = select_neighbors(vecs, beam, self.cap(l));
             for &nb in &chosen {
@@ -654,6 +660,37 @@ mod tests {
         }
         let recall = hit as f64 / total as f64;
         assert!(recall >= 0.9, "post-update recall@10 = {recall:.3}");
+    }
+
+    #[test]
+    fn repeated_updates_never_shorten_search_results() {
+        // Streaming drift: rows keep moving next to other rows. A row whose
+        // stale in-links survive the unlink must not be reached while it is
+        // re-inserted, or it links to itself and searches come back short.
+        let n = 3800u32;
+        let mut vecs = clustered(n as usize, 32, 60, 11);
+        let mut index = HnswIndex::build(&vecs, HnswParams::default());
+        let mut scratch = SearchScratch::new();
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut raw = vec![0.0f32; 32];
+        let mut moved = vec![0.0f32; 32];
+        for round in 0..60 {
+            for _ in 0..40 {
+                let id = rng.random_range(0..n);
+                let beside = rng.random_range(0..n);
+                for (r, &x) in raw.iter_mut().zip(vecs.vector(beside)) {
+                    *r = x + rng.random_range(-0.05f32..0.05);
+                }
+                normalize_into(&raw, &mut moved);
+                vecs.set(id, &moved);
+                index.update_row(&vecs, id, &mut scratch);
+            }
+            for probe in (0..n).step_by(37) {
+                let q = vecs.vector(probe).to_vec();
+                let got = index.search(&vecs, &q, 10, None, &mut scratch).len();
+                assert_eq!(got, 10, "round {round}: probe {probe} got {got} results");
+            }
+        }
     }
 
     #[test]

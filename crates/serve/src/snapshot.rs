@@ -9,7 +9,8 @@
 //! never scans the other modalities. Small modalities keep the exact
 //! linear scan — below [`IndexParams::ann_threshold`] elements a scan
 //! beats an HNSW walk and is exact for free; large modalities get an HNSW
-//! graph.
+//! graph. Users are never a query's answer, so they always keep the scan
+//! and no publish pays for a graph over them.
 //!
 //! Snapshots come in two flavors: [`Snapshot::build`] freezes a model from
 //! scratch, and [`Snapshot::apply_delta`] re-freezes only the rows a
@@ -33,10 +34,11 @@ use crate::hnsw::{exact_top_k, HnswIndex, HnswParams, SearchScratch, VectorSourc
 /// Index-build policy for snapshots.
 #[derive(Debug, Clone, Copy)]
 pub struct IndexParams {
-    /// Modalities with at least this many units get an HNSW index;
-    /// smaller ones use the exact scan (which is both faster and exact at
-    /// that size). Set to 0 to force ANN everywhere (conformance tests),
-    /// `usize::MAX` to force exact everywhere (reference behavior).
+    /// Answer modalities (words, times, places) with at least this many
+    /// units get an HNSW index; smaller ones use the exact scan (which is
+    /// both faster and exact at that size). Set to 0 to force ANN on every
+    /// answer modality (conformance tests), `usize::MAX` to force exact
+    /// everywhere (reference behavior).
     pub ann_threshold: usize,
     /// Ceiling on the per-modality dirty fraction a delta apply will
     /// patch incrementally; above it the modality's HNSW graph is rebuilt
@@ -118,7 +120,7 @@ impl Snapshot {
         let space = *artifacts.space();
         let indexes = NodeType::ALL.map(|ty| {
             let count = space.count(ty) as usize;
-            if count == 0 || count < params.ann_threshold {
+            if ty == NodeType::User || count == 0 || count < params.ann_threshold {
                 ModalIndex::Exact
             } else {
                 let view = ModalView {
@@ -377,6 +379,7 @@ mod tests {
         };
         let snap = Snapshot::build(&m, &forced, 2);
         assert!(snap.is_ann(NodeType::Word));
+        assert!(!snap.is_ann(NodeType::User), "no query answers with users");
         let mut scratch = SearchScratch::new();
         let node = m.space().node(NodeType::Word, 7);
         let raw = m.vector(node).to_vec();

@@ -24,9 +24,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::snapshot::Snapshot;
 
@@ -58,6 +56,12 @@ impl SnapshotCell {
         }
     }
 
+    /// Locks the slot. Poisoning is ignored: the guarded `Arc` is replaced
+    /// in one store, so a panicking holder cannot leave it torn.
+    fn slot(&self) -> MutexGuard<'_, Arc<Snapshot>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Epoch of the currently published snapshot.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
@@ -77,7 +81,7 @@ impl SnapshotCell {
                 // Stale: refresh under the lock. Reading the epoch while
                 // holding the lock keeps the cached pair coherent even if
                 // another publish raced in between.
-                let guard = self.slot.lock();
+                let guard = self.slot();
                 let fresh = guard.clone();
                 let epoch = self.epoch.load(Ordering::Acquire);
                 drop(guard);
@@ -85,7 +89,7 @@ impl SnapshotCell {
                 entry.2 = fresh.clone();
                 return fresh;
             }
-            let guard = self.slot.lock();
+            let guard = self.slot();
             let fresh = guard.clone();
             let epoch = self.epoch.load(Ordering::Acquire);
             drop(guard);
@@ -98,7 +102,7 @@ impl SnapshotCell {
     /// makes it visible to all subsequent `load`s. In-flight readers keep
     /// the snapshot they already hold.
     pub fn store(&self, snapshot: Arc<Snapshot>) {
-        let mut guard = self.slot.lock();
+        let mut guard = self.slot();
         debug_assert!(
             snapshot.epoch() > self.epoch.load(Ordering::Relaxed),
             "epochs must increase monotonically"

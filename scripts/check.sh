@@ -9,6 +9,12 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
+# The benchmark is its own workspace over the crates by path, so a crate
+# API change that breaks it fails here rather than at benchmark time.
+# Not --locked: its lock file is refreshed only with the benchmark itself.
+echo "== benchmark (e2ebench) build + tests =="
+cargo test --offline -q --manifest-path e2ebench/Cargo.toml
+
 echo "== resilience acceptance suite =="
 cargo test -q --test resilience
 

@@ -42,7 +42,7 @@
 //! | [`eval`] | MRR, prediction tasks, neighbor search, case studies |
 //! | [`resilience`] | checkpoint envelopes, retry/divergence policies, fault injection |
 //! | [`serve`] | online query engine: ANN index, query cache, snapshot hot-swap |
-//! | [`par`] | deterministic scoped-thread data parallelism for preprocessing |
+//! | [`par`] | deterministic scoped-thread data parallelism for preprocessing and training |
 
 pub use actor_core as core;
 pub use baselines;
